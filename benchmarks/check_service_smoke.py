@@ -17,7 +17,11 @@ over real HTTP, the way an operator would see it:
    journal's last record;
 6. submit two long campaigns to a two-lane daemon, observe them
    demonstrably running at the same time, and assert their results are
-   byte-identical to a single-lane control run in a fresh directory.
+   byte-identical to a single-lane control run in a fresh directory;
+7. run ``repro.cli ledger compact`` on a live daemon's ledger between
+   two campaigns, and assert the resubmission with doubled instances
+   is answered half from the compacted ledger, reaches the compacted
+   file, and serves the bytes of a fresh-directory control run.
 
 Usage (what ci.yml runs)::
 
@@ -73,6 +77,25 @@ def request(base, method, path, body=None):
             return response.status, response.read()
     except urllib.error.HTTPError as error:
         return error.code, error.read()
+
+
+def compact_ledger(path):
+    """``repro.cli ledger compact`` as an operator runs it; remaining count."""
+    output = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "ledger", "compact", str(path)],
+        check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    ).stdout
+    return int(output.split("; ", 1)[1].split()[0])
+
+
+def run_campaign(base, spec):
+    """Submit ``spec``, wait for ``done``; (status doc, result bytes)."""
+    status, payload = request(base, "POST", "/campaigns", spec)
+    assert status == 202, (status, payload)
+    cid = json.loads(payload)["id"]
+    final = wait_for(base, cid, lambda d: d["state"] == "done")
+    return final, request(base, "GET", f"/campaigns/{cid}/result")[1]
 
 
 def wait_for(base, cid, predicate, timeout=120.0):
@@ -197,12 +220,39 @@ def main() -> int:
         daemon.send_signal(signal.SIGTERM)
         assert daemon.wait(timeout=60) == 0, "SIGTERM must exit 0"
 
+    # -- live compaction: `ledger compact` between two campaigns ------
+    doubled = dict(FIRST, instances=4)
+    with tempfile.TemporaryDirectory() as tmpdir:
+        ledger = Path(tmpdir) / "ledger.jsonl"
+        daemon, base = start_daemon(Path(tmpdir))
+        run_campaign(base, FIRST)
+        assert compact_ledger(ledger) == 4
+        final, compacted_result = run_campaign(base, doubled)
+        assert final["executed"] == 4 and final["ledger_hits"] == 4, (
+            f"the live daemon lost the compacted ledger: {final}"
+        )
+        assert compact_ledger(ledger) == 8, (
+            "units written after a live compaction missed the new file"
+        )
+        daemon.send_signal(signal.SIGTERM)
+        assert daemon.wait(timeout=60) == 0, "SIGTERM must exit 0"
+    with tempfile.TemporaryDirectory() as tmpdir:
+        daemon, base = start_daemon(Path(tmpdir))
+        final, control_result = run_campaign(base, doubled)
+        assert final["executed"] == 8, final
+        assert compacted_result == control_result, (
+            "result after a live compaction differs from a fresh run"
+        )
+        daemon.send_signal(signal.SIGTERM)
+        assert daemon.wait(timeout=60) == 0, "SIGTERM must exit 0"
+
     print(
         "OK: daemon served a campaign, survived kill -9 mid-campaign, "
         "recovered both campaigns from the journal, resumed with exactly "
         "2 recomputed units, served byte-identical results, exited 0 "
-        "on SIGTERM with a journal checkpoint, and ran two campaigns "
-        "concurrently with results byte-identical to a single-lane run."
+        "on SIGTERM with a journal checkpoint, ran two campaigns "
+        "concurrently with results byte-identical to a single-lane run, "
+        "and kept every unit across a live ledger compaction."
     )
     return 0
 

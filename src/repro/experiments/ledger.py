@@ -43,6 +43,13 @@ Durability and recovery rules:
   live records to a temporary file in the same directory, fsyncs, and
   ``os.replace``s it over the ledger — readers see the old or the new
   file, never a partial one.
+* **A long-lived index refreshes incrementally.**
+  :meth:`ResultLedger.refresh` parses only the complete lines appended
+  since the last load or refresh, by any writer.  It falls back to a
+  full :meth:`~ResultLedger.load` when the file was replaced (an
+  external ``compact``/``merge``) or shrank, and then reopens the append
+  descriptor so later appends reach the new file.  A partial trailing
+  line is left unread until its newline arrives.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ import json
 import logging
 import os
 import pickle
+import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -72,7 +80,10 @@ class ResultLedger:
     Loading reads and validates every record once; lookups
     (:meth:`__contains__`, :meth:`get`) are O(1) dictionary hits
     afterwards.  :meth:`put` appends crash-safely and updates the
-    in-memory index, so a live campaign never re-reads the file.
+    in-memory index, so a live campaign never re-reads the file, and
+    :meth:`refresh` indexes what other writers appended since.  One
+    instance may be shared between threads: lookups, appends, refreshes
+    and compaction are serialized by an internal lock.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -85,49 +96,122 @@ class ResultLedger:
         #: Salt declared by the file's header record, or ``None`` for a
         #: headerless (pre-header-format) ledger.
         self.salt: Optional[str] = None
-        #: Records dropped by the last load (torn/corrupt).
+        #: Records dropped by the last load (torn/corrupt), plus corrupt
+        #: lines met by later refreshes.
         self.dropped_records = 0
         self._fd: Optional[int] = None
+        #: Byte offset just past the last complete line indexed, and the
+        #: number of lines before it (for warning line numbers).
+        self._offset = 0
+        self._lines = 0
+        #: ``(st_dev, st_ino)`` of the file indexed; ``None`` if absent.
+        self._file_id: Optional[Tuple[int, int]] = None
+        self._lock = threading.RLock()
         self.load()
 
     # -- loading -------------------------------------------------------
 
     def load(self) -> None:
-        """(Re)build the index from disk, skipping torn/corrupt records."""
-        self._records.clear()
-        self._ts.clear()
-        self.salt = None
-        self.dropped_records = 0
-        if not self.path.exists():
-            return
-        data = self.path.read_bytes()
-        if not data:
-            return
-        lines = data.split(b"\n")
-        # A well-formed ledger ends with a newline, so the final split
-        # element is empty; anything else is a torn trailing record.
-        for lineno, line in enumerate(lines, start=1):
+        """(Re)build the index from disk, skipping torn/corrupt records.
+
+        The new index is built aside and swapped in whole.  A trailing
+        line without its newline is a torn (or still in-flight) append:
+        it is reported and counted as dropped but left unread, so a
+        :meth:`refresh` after its newline arrives indexes it.
+        """
+        with self._lock:
+            records: Dict[str, bytes] = {}
+            stamps: Dict[str, float] = {}
+            self.salt = None
+            self.dropped_records = 0
+            self._offset = self._lines = 0
+            self._file_id = None
+            try:
+                with open(self.path, "rb") as handle:
+                    stat = os.fstat(handle.fileno())
+                    data = handle.read()
+            except FileNotFoundError:
+                data = b""
+            else:
+                self._file_id = (stat.st_dev, stat.st_ino)
+            if self._index(data, records, stamps):
+                logger.warning(
+                    "%s: skipping torn trailing record at line %d "
+                    "(no newline)", self.path, self._lines + 1,
+                )
+                self.dropped_records += 1
+            self._records, self._ts = records, stamps
+
+    def refresh(self) -> None:
+        """Index the complete records appended since the last (re)load.
+
+        Reads only the bytes past the last complete line already
+        indexed — appended by this instance or any other writer.  When
+        the file was replaced (an external ``compact``/``merge`` renamed
+        a new one over it), removed, or shrank, this is a full
+        :meth:`load` instead, and the append descriptor is reopened so
+        later appends reach the live file.  A trailing line without its
+        newline stays unread until it is complete.
+        """
+        with self._lock:
+            try:
+                with open(self.path, "rb") as handle:
+                    if self._appended_only(handle):
+                        handle.seek(self._offset)
+                        self._index(handle.read(), self._records, self._ts)
+                        return
+            except FileNotFoundError:
+                if self._file_id is None:
+                    return
+            # The append descriptor may still be open on the old file.
+            self.close()
+            self.load()
+
+    def _appended_only(self, handle) -> bool:
+        """Is ``handle`` the indexed file, changed only by appends?"""
+        stat = os.fstat(handle.fileno())
+        if (stat.st_dev, stat.st_ino) != self._file_id:
+            return False
+        if self._offset == 0:
+            return True
+        # The indexed prefix ends in a newline; a file truncated below
+        # it (or rewritten in place) no longer has one there.
+        handle.seek(self._offset - 1)
+        return handle.read(1) == b"\n"
+
+    def _index(
+        self, data: bytes, records: Dict[str, bytes], stamps: Dict[str, float]
+    ) -> bytes:
+        """Index the complete lines of ``data``, the file from the offset.
+
+        Advances the offset past them and returns the unterminated
+        remainder, which is left unread.
+        """
+        end = data.rfind(b"\n") + 1
+        for line in data[:end].split(b"\n")[:-1]:
+            self._lines += 1
             if not line:
                 continue
-            record = self._parse_record(line, lineno, torn=(lineno == len(lines)))
+            record = self._parse_record(line, self._lines)
             if record is not None:
                 key, payload, ts = record
-                self._records[key] = payload
-                self._ts[key] = ts
+                records[key] = payload
+                stamps[key] = ts
+        self._offset += end
+        return data[end:]
 
-    def _parse_record(self, line, lineno, torn):
+    def _parse_record(self, line, lineno):
         """Validate one line; return ``(key, payload, ts)`` or ``None``.
 
         Header records set :attr:`salt` as a side effect and return
         ``None`` without counting as dropped.
         """
-        where = "torn trailing" if torn else "corrupt"
         try:
             obj = json.loads(line)
         except ValueError:
             logger.warning(
-                "%s: skipping %s record at line %d (unparseable JSON)",
-                self.path, where, lineno,
+                "%s: skipping corrupt record at line %d (unparseable JSON)",
+                self.path, lineno,
             )
             self.dropped_records += 1
             return None
@@ -145,8 +229,8 @@ class ResultLedger:
                         )
                 return None
             logger.warning(
-                "%s: skipping %s header at line %d (missing/invalid fields)",
-                self.path, where, lineno,
+                "%s: skipping corrupt header at line %d "
+                "(missing/invalid fields)", self.path, lineno,
             )
             self.dropped_records += 1
             return None
@@ -158,8 +242,8 @@ class ResultLedger:
             or not isinstance(obj.get("psha"), str)
         ):
             logger.warning(
-                "%s: skipping %s record at line %d (missing/invalid fields)",
-                self.path, where, lineno,
+                "%s: skipping corrupt record at line %d "
+                "(missing/invalid fields)", self.path, lineno,
             )
             self.dropped_records += 1
             return None
@@ -167,15 +251,15 @@ class ResultLedger:
             payload = base64.b64decode(obj["payload"], validate=True)
         except (binascii.Error, ValueError):
             logger.warning(
-                "%s: skipping %s record at line %d (invalid base64 payload)",
-                self.path, where, lineno,
+                "%s: skipping corrupt record at line %d "
+                "(invalid base64 payload)", self.path, lineno,
             )
             self.dropped_records += 1
             return None
         if sha256_hex(payload) != obj["psha"]:
             logger.warning(
-                "%s: skipping %s record at line %d (payload digest mismatch)",
-                self.path, where, lineno,
+                "%s: skipping corrupt record at line %d "
+                "(payload digest mismatch)", self.path, lineno,
             )
             self.dropped_records += 1
             return None
@@ -187,55 +271,69 @@ class ResultLedger:
     # -- lookups -------------------------------------------------------
 
     def __contains__(self, key: str) -> bool:
-        return key in self._records
+        with self._lock:
+            return key in self._records
 
     def __len__(self) -> int:
-        return len(self._records)
+        with self._lock:
+            return len(self._records)
 
     def keys(self) -> Iterator[str]:
-        return iter(self._records)
+        with self._lock:
+            return iter(list(self._records))
 
     def get(self, key: str) -> Any:
-        """Unpickle and return the result stored under ``key``."""
-        return pickle.loads(self._records[key])
+        """Unpickle and return the result stored under ``key``.
+
+        Raises :class:`KeyError` when the ledger holds no such key.
+        """
+        with self._lock:
+            payload = self._records[key]
+        return pickle.loads(payload)
 
     # -- appends -------------------------------------------------------
 
-    def _ensure_fd(self) -> int:
+    def _append_fd(self) -> int:
+        """The append descriptor, open on the live file, tail sealed."""
+        if self._fd is not None and os.fstat(self._fd).st_nlink == 0:
+            # The file was replaced under us (an external compact or
+            # merge): append to the new one, not to the orphaned inode.
+            # The next refresh sees the new file and reloads.
+            self.close()
         if self._fd is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fd = os.open(
-                self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
+                self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644
             )
-            self._seal_torn_tail(self._fd)
+            stat = os.fstat(self._fd)
             # A brand-new ledger starts with a header naming the salt
             # its keys were derived under (the merge tool's safety
             # check).  Two writers racing on creation may both append
             # one — duplicates are recognized and harmless on load.
-            if os.fstat(self._fd).st_size == 0:
+            if stat.st_size == 0:
+                if self._file_id is None:
+                    # Empty when opened: every line of it is yet to be
+                    # indexed, so refreshes can read it incrementally.
+                    self._file_id = (stat.st_dev, stat.st_ino)
                 os.write(self._fd, self.encode_header())
                 self.salt = LEDGER_SALT
+        self._seal_torn_tail(self._fd)
         return self._fd
 
-    def _seal_torn_tail(self, fd: int) -> None:
-        """Terminate a torn trailing record before the first append.
+    @staticmethod
+    def _seal_torn_tail(fd: int) -> None:
+        """Terminate a torn trailing record before an append.
 
         A crash mid-append leaves the file ending without a newline;
         appending straight after it would glue the new record onto the
         torn fragment — losing *both* on the next load.  Writing one
         ``\\n`` turns the fragment into a lone corrupt line (skipped
-        with a warning) and keeps every later append intact.
+        with a warning) and keeps the append intact.  Checked before
+        every append, since another writer may crash at any time; a
+        race with a writer mid-append costs at most an empty line.
         """
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                if handle.tell() == 0:
-                    return
-                handle.seek(-1, os.SEEK_END)
-                last = handle.read(1)
-        except OSError:
-            return
-        if last != b"\n":
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
             os.write(fd, b"\n")
             os.fsync(fd)
 
@@ -271,16 +369,18 @@ class ResultLedger:
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         ts = time.time()
         line = self.encode_record(key, payload, ts)
-        fd = self._ensure_fd()
-        os.write(fd, line)
-        os.fsync(fd)
-        self._records[key] = payload
-        self._ts[key] = ts
+        with self._lock:
+            fd = self._append_fd()
+            os.write(fd, line)
+            os.fsync(fd)
+            self._records[key] = payload
+            self._ts[key] = ts
 
     def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        with self._lock:
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
 
     def __enter__(self) -> "ResultLedger":
         return self
@@ -313,57 +413,47 @@ class ResultLedger:
         new complete file.  Returns the number of evicted records.
         """
         now = time.time() if now is None else now
-        survivors: List[Tuple[str, bytes, float]] = [
-            (key, payload, self._ts.get(key, 0.0))
-            for key, payload in self._records.items()
-        ]
-        if max_age_seconds is not None:
-            cutoff = now - max_age_seconds
-            survivors = [rec for rec in survivors if rec[2] >= cutoff]
-        encoded = [
-            (key, self.encode_record(key, payload, ts or None), ts)
-            for key, payload, ts in survivors
-        ]
-        if max_bytes is not None:
-            total = len(self.encode_header()) + sum(
-                len(line) for _, line, _ in encoded
-            )
-            # Oldest first: ties broken by append order (dict order).
-            by_age = sorted(
-                range(len(encoded)), key=lambda i: (encoded[i][2], i)
-            )
-            evict = set()
-            for i in by_age:
-                if total <= max_bytes:
-                    break
-                total -= len(encoded[i][1])
-                evict.add(i)
-            encoded = [rec for i, rec in enumerate(encoded) if i not in evict]
-        evicted = len(self._records) - len(encoded)
-        self.close()
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            os.write(fd, self.encode_header(self.salt or LEDGER_SALT))
-            for _, line, _ in encoded:
-                os.write(fd, line)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, self.path)
-        dir_fd = os.open(self.path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-        kept = {key for key, _, _ in encoded}
-        for key in list(self._records):
-            if key not in kept:
-                del self._records[key]
-                self._ts.pop(key, None)
-        self.salt = self.salt or LEDGER_SALT
-        self.dropped_records = 0
-        return evicted
+        with self._lock:
+            survivors: List[Tuple[str, bytes, float]] = [
+                (key, payload, self._ts.get(key, 0.0))
+                for key, payload in self._records.items()
+            ]
+            if max_age_seconds is not None:
+                cutoff = now - max_age_seconds
+                survivors = [rec for rec in survivors if rec[2] >= cutoff]
+            encoded = [
+                (key, self.encode_record(key, payload, ts or None), ts)
+                for key, payload, ts in survivors
+            ]
+            if max_bytes is not None:
+                total = len(self.encode_header()) + sum(
+                    len(line) for _, line, _ in encoded
+                )
+                # Oldest first: ties broken by append order (dict order).
+                by_age = sorted(
+                    range(len(encoded)), key=lambda i: (encoded[i][2], i)
+                )
+                evict = set()
+                for i in by_age:
+                    if total <= max_bytes:
+                        break
+                    total -= len(encoded[i][1])
+                    evict.add(i)
+                encoded = [
+                    rec for i, rec in enumerate(encoded) if i not in evict
+                ]
+            evicted = len(self._records) - len(encoded)
+            self.close()
+            self.salt = self.salt or LEDGER_SALT
+            lines = [self.encode_header(self.salt)]
+            lines += [line for _, line, _ in encoded]
+            self._file_id = _write_atomically(self.path, lines)
+            self._offset = sum(len(line) for line in lines)
+            self._lines = len(lines)
+            self._records = {key: self._records[key] for key, _, _ in encoded}
+            self._ts = {key: ts for key, _, ts in encoded}
+            self.dropped_records = 0
+            return evicted
 
     def stats(self) -> Dict[str, Any]:
         """Operational summary: live records, bytes, salt, age span."""
@@ -371,21 +461,22 @@ class ResultLedger:
             file_bytes = self.path.stat().st_size
         except OSError:
             file_bytes = 0
-        live_bytes = sum(
-            len(self.encode_record(key, payload, self._ts.get(key) or None))
-            for key, payload in self._records.items()
-        )
-        stamps = [ts for ts in self._ts.values() if ts > 0.0]
-        return {
-            "path": str(self.path),
-            "records": len(self._records),
-            "file_bytes": file_bytes,
-            "live_bytes": live_bytes,
-            "dropped_records": self.dropped_records,
-            "salt": self.salt,
-            "oldest_ts": min(stamps) if stamps else None,
-            "newest_ts": max(stamps) if stamps else None,
-        }
+        with self._lock:
+            live_bytes = sum(
+                len(self.encode_record(key, payload, self._ts.get(key) or None))
+                for key, payload in self._records.items()
+            )
+            stamps = [ts for ts in self._ts.values() if ts > 0.0]
+            return {
+                "path": str(self.path),
+                "records": len(self._records),
+                "file_bytes": file_bytes,
+                "live_bytes": live_bytes,
+                "dropped_records": self.dropped_records,
+                "salt": self.salt,
+                "oldest_ts": min(stamps) if stamps else None,
+                "newest_ts": max(stamps) if stamps else None,
+            }
 
 
 # ----------------------------------------------------------------------
@@ -422,18 +513,11 @@ def merge_ledgers(
     salts: Dict[str, str] = {}
     duplicates = 0
     skipped = 0
-    for in_path in in_paths:
-        ledger = ResultLedger.__new__(ResultLedger)
-        ledger.path = Path(in_path)
-        ledger._records = {}
-        ledger._ts = {}
-        ledger.salt = None
-        ledger.dropped_records = 0
-        ledger._fd = None
-        if not ledger.path.exists():
+    for in_path in map(Path, in_paths):
+        if not in_path.exists():
             raise LedgerMergeError(f"input ledger does not exist: {in_path}")
-        _refuse_version_mismatch(ledger.path)
-        ledger.load()
+        _refuse_version_mismatch(in_path)
+        ledger = ResultLedger(in_path)
         if ledger.salt is not None:
             salts[str(in_path)] = ledger.salt
             if len(set(salts.values())) > 1:
@@ -450,25 +534,38 @@ def merge_ledgers(
                 duplicates += 1
             merged[key] = (payload, ledger._ts.get(key, 0.0))
     salt = next(iter(salts.values()), LEDGER_SALT)
-    tmp = out_path.with_name(out_path.name + ".tmp")
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    _write_atomically(out_path, [ResultLedger.encode_header(salt)] + [
+        ResultLedger.encode_record(key, payload, ts or None)
+        for key, (payload, ts) in merged.items()
+    ])
+    return {
+        "records": len(merged), "duplicates": duplicates, "skipped": skipped
+    }
+
+
+def _write_atomically(path: Path, lines: Sequence[bytes]) -> Tuple[int, int]:
+    """Replace ``path`` with ``lines``; returns the new file's id.
+
+    Temp sibling + fsync + ``os.replace`` + directory fsync: a crash at
+    any instant leaves either the old or the new complete file.
+    """
+    tmp = path.with_name(path.name + ".tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
     try:
-        os.write(fd, ResultLedger.encode_header(salt))
-        for key, (payload, ts) in merged.items():
-            os.write(fd, ResultLedger.encode_record(key, payload, ts or None))
+        for line in lines:
+            os.write(fd, line)
         os.fsync(fd)
+        stat = os.fstat(fd)
     finally:
         os.close(fd)
-    os.replace(tmp, out_path)
-    dir_fd = os.open(out_path.parent, os.O_RDONLY)
+    os.replace(tmp, path)
+    dir_fd = os.open(path.parent, os.O_RDONLY)
     try:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
-    return {
-        "records": len(merged), "duplicates": duplicates, "skipped": skipped
-    }
+    return stat.st_dev, stat.st_ino
 
 
 def _refuse_version_mismatch(path: Path) -> None:

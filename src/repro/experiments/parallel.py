@@ -34,7 +34,11 @@ With ``ledger_path`` set, every completed unit is appended to a
 crash-safe :class:`~repro.experiments.ledger.ResultLedger` keyed by
 its canonical input hash, and units already present are answered from
 disk — interrupted or overlapping sweeps recompute only never-seen
-units (see ``docs/robustness.md``).
+units (see ``docs/robustness.md``).  A long-lived caller (the campaign
+service) passes an open ``ledger`` instead, which each campaign only
+refreshes (:meth:`~repro.experiments.ledger.ResultLedger.refresh`):
+it pays for the records appended since the last campaign rather than
+re-reading the whole file.
 """
 
 from __future__ import annotations
@@ -100,7 +104,9 @@ class ParallelRunner:
     ``max_attempts``/``unit_timeout``/``backoff_base``/``backoff_factor``
     /``degrade_final`` configure the
     :class:`~repro.experiments.supervisor.RetryPolicy`; ``ledger_path``
-    enables the crash-safe result ledger.  None of them can change the
+    enables the crash-safe result ledger, opened and closed per call,
+    and ``ledger`` attaches an already open one, refreshed per call and
+    left open.  None of them can change the
     *value* of any result — units are pure and the merge canonical —
     only whether and where a result gets computed.
     """
@@ -112,6 +118,7 @@ class ParallelRunner:
     backoff_factor: float = 2.0
     degrade_final: bool = False
     ledger_path: Optional[Union[str, Path]] = None
+    ledger: Optional[ResultLedger] = None
     #: Shared machine-wide worker budget.  When set, ``workers`` is a
     #: request: the supervisor acquires up to that many slots from the
     #: budget and may be granted fewer under contention (see
@@ -148,8 +155,12 @@ class ParallelRunner:
         """
         units = list(units)
         ledger = keys = None
-        if self.ledger_path is not None:
+        if self.ledger is not None:
+            ledger = self.ledger
+            ledger.refresh()
+        elif self.ledger_path is not None:
             ledger = ResultLedger(self.ledger_path)
+        if ledger is not None:
             graph_hash = graph_content_hash(graph)
             keys = [
                 unit_key(graph_hash, builder, kind, seed, instance, protocol)
@@ -169,7 +180,7 @@ class ParallelRunner:
             )
             return supervisor.run()
         finally:
-            if ledger is not None:
+            if ledger is not None and ledger is not self.ledger:
                 ledger.close()
 
     def run_units(

@@ -485,12 +485,15 @@ class Supervisor:
                 self._pending.append(index)
             return
         for index, key in enumerate(self._keys):
-            if key in self._ledger:
+            # One lookup, not a membership test then a get: a ledger
+            # shared with another campaign may reload in between.
+            try:
                 self._results[index] = self._ledger.get(key)
+            except KeyError:
+                self._pending.append(index)
+            else:
                 self._resolved[index] = True
                 self._ledger_hits += 1
-            else:
-                self._pending.append(index)
 
     # -- pool management -----------------------------------------------
 
@@ -666,9 +669,11 @@ class Supervisor:
             # A result may have been sent before the process died.
             self._drain(worker)
             index = worker.assignment
-            exitcode = worker.process.exitcode
             worker.assignment = None
+            # Read after the join: the sentinel can fire a moment before
+            # the exit status is collectable.
             self._discard_worker(worker, kill=False)
+            exitcode = worker.process.exitcode
             if index is not None:
                 self._attempt_failed(
                     index,

@@ -3,7 +3,9 @@
 The contract under test: a completed ``put`` survives anything, a
 crash mid-append costs exactly the torn record (skipped with a
 warning, never an exception), duplicate keys resolve last-write-wins,
-and two processes appending to the same ledger never corrupt it.
+two processes appending to the same ledger never corrupt it, and a
+long-lived instance's incremental ``refresh`` always agrees with a
+fresh load of the file.
 """
 
 from __future__ import annotations
@@ -11,6 +13,14 @@ from __future__ import annotations
 import json
 import logging
 import multiprocessing
+import os
+import sys
+import tempfile
+import threading
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.ledger import ResultLedger
 
@@ -467,3 +477,192 @@ class TestConcurrentAppend:
                     assert merged.get(f"{prefix}{i}") == {
                         "writer": prefix, "i": i,
                     }
+
+
+def _index_of(ledger: ResultLedger):
+    """What a lookup can observe: records, their stamps, the salt."""
+    return ledger._records, ledger._ts, ledger.salt
+
+
+def _count_loads(ledger: ResultLedger) -> list:
+    calls = []
+    load = ledger.load
+
+    def counted():
+        calls.append(1)
+        load()
+
+    ledger.load = counted
+    return calls
+
+
+class TestRefresh:
+    def test_refresh_indexes_another_writers_appends(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        live = ResultLedger(path)
+        live.put("mine", 0)
+        loads = _count_loads(live)
+        with ResultLedger(path) as other:
+            _fill(other, 3, "o")
+        assert "o0" not in live
+        live.refresh()
+        assert sorted(live.keys()) == ["mine", "o0", "o1", "o2"]
+        live.put("mine", 1)
+        with ResultLedger(path) as other:
+            other.put("o3", 3)
+        live.refresh()
+        assert len(live) == 5 and live.get("mine") == 1
+        assert loads == []
+        live.close()
+
+    def test_partial_trailing_line_waits_for_its_newline(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        live = ResultLedger(path)
+        live.put("k", 1)
+        record = ResultLedger.encode_record("late", b"\x80\x04K\x02.")
+        with open(path, "ab") as handle:
+            handle.write(record[:-1])  # complete but for its newline
+        live.refresh()
+        assert "late" not in live
+        assert live.dropped_records == 0
+        with open(path, "ab") as handle:
+            handle.write(b"\n")
+        live.refresh()
+        assert live.get("late") == 2
+        assert live.dropped_records == 0
+        live.close()
+
+    def test_replaced_file_is_reloaded_and_appends_follow_it(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        live = ResultLedger(path)
+        live.put("a", 1)
+        loads = _count_loads(live)
+        with ResultLedger(path) as external:
+            external.put("b", 2)
+            external.compact(max_bytes=0)  # evicts everything
+        live.refresh()
+        assert len(live) == 0 and loads == [1]
+        live.put("c", 3)
+        live.close()
+        with ResultLedger(path) as fresh:
+            assert list(fresh.keys()) == ["c"]
+
+    def test_put_after_an_unseen_replace_lands_in_the_live_file(
+        self, tmp_path
+    ):
+        path = tmp_path / "ledger.jsonl"
+        live = ResultLedger(path)
+        live.put("a", 1)
+        with ResultLedger(path) as external:
+            external.compact()
+        live.put("b", 2)  # no refresh in between
+        live.close()
+        with ResultLedger(path) as fresh:
+            assert sorted(fresh.keys()) == ["a", "b"]
+
+    def test_threads_share_one_instance_without_lost_updates(self, tmp_path):
+        """Writers, a reader and full reloads race on one instance: no
+        lookup ever misses a present key and no put is lost."""
+        path = tmp_path / "ledger.jsonl"
+        live = ResultLedger(path)
+        live.put("stable", 1)
+        misses = []
+
+        def writer(prefix):
+            for i in range(15):
+                live.put(f"{prefix}{i}", i)
+                live.refresh()
+
+        def reader():
+            for _ in range(300):
+                try:
+                    if "stable" not in live or live.get("stable") != 1:
+                        misses.append("absent")
+                except KeyError:
+                    misses.append("KeyError")
+
+        threads = [
+            threading.Thread(target=writer, args=(f"w{n}-",))
+            for n in range(3)
+        ] + [threading.Thread(target=reader) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in range(20):
+                live.load()  # swaps in a whole new index each time
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert misses == []
+        expected = {"stable"} | {
+            f"w{n}-{i}" for n in range(3) for i in range(15)
+        }
+        assert set(live.keys()) == expected
+        live.close()
+        with ResultLedger(path) as fresh:
+            assert set(fresh.keys()) == expected
+
+
+_KEYS = st.sampled_from(["k0", "k1", "k2", "k3"])
+_STEPS = st.one_of(
+    st.tuples(st.just("put"), st.sampled_from([0, 1]), _KEYS,
+              st.integers(0, 9)),
+    st.tuples(st.just("torn"), st.integers(1, 60)),
+    st.tuples(st.just("corrupt")),
+    st.tuples(st.just("compact")),
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+)
+
+
+class TestRefreshParity:
+    """Two live writers' refreshed indexes always equal a fresh load."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_STEPS, min_size=1, max_size=25))
+    def test_refresh_matches_a_fresh_load_after_every_step(self, steps):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ledger.jsonl"
+            writers = [ResultLedger(path), ResultLedger(path)]
+            loads = [_count_loads(w) for w in writers]
+            try:
+                for step in steps:
+                    before = [len(calls) for calls in loads]
+                    existed = path.exists()
+                    self._apply(path, writers, step)
+                    for writer in writers:
+                        writer.refresh()
+                        with ResultLedger(path) as fresh:
+                            assert _index_of(writer) == _index_of(fresh), step
+                    if existed and step[0] in ("put", "torn", "corrupt"):
+                        # Appends only: never a full re-read.
+                        assert [len(c) for c in loads] == before, step
+            finally:
+                for writer in writers:
+                    writer.close()
+
+    @staticmethod
+    def _apply(path, writers, step):
+        op = step[0]
+        if op == "put":
+            _, writer, key, value = step
+            writers[writer].put(key, value)
+        elif op == "torn":
+            # A writer crashed mid-append; the next put seals it.
+            record = ResultLedger.encode_record("torn", b"payload")
+            with open(path, "ab") as handle:
+                handle.write(record[: min(step[1], len(record) - 1)])
+        elif op == "corrupt":
+            # Bit rot in a complete line: interior once appends follow.
+            with open(path, "ab") as handle:
+                handle.write(
+                    b'{"v": 1, "key": "k0", "payload": "AA==", "psha": "0"}\n'
+                )
+        elif op == "compact":
+            with ResultLedger(path) as external:
+                external.compact()
+        elif op == "truncate" and path.exists():
+            os.truncate(path, int(path.stat().st_size * step[1]))
